@@ -21,12 +21,16 @@ RATIOS = [
     "2:1:1:1:1:1:9",
 ]
 CAPS = [4, 8]
-# Seven points each, so the median and the 90th percentile of a round fall
-# inside a class of requests rather than on the edge between two.
-STREAM_CURVE = [16, 32, 64, 128, 256, 512, 1000]
-OPTIMIZE_SWEEP = [24, 32, 48, 64, 96, 128, 192]
+# Nine points each, so a round holds 108 requests: its 90th percentile has
+# ten beyond it.
+STREAM_CURVE = [16, 24, 32, 48, 64, 128, 256, 512, 1000]
+OPTIMIZE_SWEEP = [24, 32, 40, 48, 64, 80, 96, 128, 192]
 SERVE_DEMANDS = [16, 32, 64, 128]
-FLEET_SIZES = [16, 18, 21, 24, 27, 30, 32]  # users per mix; 168 in a round
+FLEET_SIZES = [16, 18, 21, 24, 27, 30, 32]  # users per mix; 168 in a deal
+# Deals of the user pool in a round: 105 mixes, so the 90th percentile has
+# ten beyond it, and the median latency and the mean makespan move less
+# with the seed than over 7.
+FLEET_DEALS = 15
 FLEET_CHIPS = 8
 # Chips of `--fleet 8` whose effective mixers host every ratio's default
 # Mc, so a pass is in flight on them from cycle 0 (chip 5 has only 2).
@@ -85,26 +89,29 @@ def serve_round(seed: int, working_set: list[dict]) -> list[tuple[int, str]]:
 
 
 def fleet_mixes(seed: int) -> list[dict]:
-    """fleet-wfq: a fixed pool of 168 user streams dealt into seven mixes.
+    """fleet-wfq: FLEET_DEALS times, a pool of 168 user streams dealt into
+    seven mixes.
 
     Each mix carries one chip kill at cycle 1-3 on a chip that starts a pass
     at cycle 0, so it lands on an in-flight pass.
     """
     rng = _rng("fleet-wfq", seed)
-    pool = []
-    for ratio in RATIOS:
-        for j in range(sum(FLEET_SIZES) // len(RATIOS)):
-            pool.append({"ratio": ratio, "demand": _jitter(rng, 16 + 4 * j),
-                         "cap": 3 + j % 4, "weight": 1 + (5 * j) % 4})
-    rng.shuffle(pool)
-    sizes = FLEET_SIZES[:]
-    rng.shuffle(sizes)
     mixes = []
-    for size in sizes:
-        users, pool = pool[:size], pool[size:]
-        kill = "chip=%d,cycle=%d" % (rng.choice(FLEET_KILL_CHIPS),
-                                     rng.randint(1, 3))
-        mixes.append({"users": users, "kill": kill})
+    for _ in range(FLEET_DEALS):
+        pool = []
+        for ratio in RATIOS:
+            for j in range(sum(FLEET_SIZES) // len(RATIOS)):
+                pool.append({"ratio": ratio,
+                             "demand": _jitter(rng, 16 + 4 * j),
+                             "cap": 3 + j % 4, "weight": 1 + (5 * j) % 4})
+        rng.shuffle(pool)
+        sizes = FLEET_SIZES[:]
+        rng.shuffle(sizes)
+        for size in sizes:
+            users, pool = pool[:size], pool[size:]
+            kill = "chip=%d,cycle=%d" % (rng.choice(FLEET_KILL_CHIPS),
+                                         rng.randint(1, 3))
+            mixes.append({"users": users, "kill": kill})
     return mixes
 
 

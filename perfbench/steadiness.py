@@ -5,8 +5,9 @@
 Runs each workload --runs times, each with another --seed, and prints for
 every end-to-end metric the median, the quartiles (statistics.quantiles,
 n=4) and the spread (Q3 - Q1) / median against the metric's bound in
-BENCHMARK.json. A spread at or under a third of the bound is marked ok;
-setup_s has no spread gate (its bound applies to the median). Run from the
+BENCHMARK.json. A spread at or under a third of the bound is marked ok, and
+the command exits non-zero if any spread is wider, a run is not correct, or
+the share of failed operations differs between runs. Run from the
 repository root.
 """
 
@@ -53,9 +54,8 @@ def main() -> int:
         for name, bound in bounds.items():
             q1, median, q3 = statistics.quantiles(values[name], n=4)
             spread = (q3 - q1) / median
-            verdict = "-" if name == "setup_s" else (
-                "ok" if spread <= bound / 3 else "WIDE")
-            ok &= verdict != "WIDE"
+            verdict = "ok" if spread <= bound / 3 else "WIDE"
+            ok &= verdict == "ok"
             print(f"  {name:28} {median:12.6g} {q1:12.6g} {q3:12.6g}"
                   f" {spread:8.4f} {bound:6.3f} {verdict}")
         ok &= len(shares) == 1
